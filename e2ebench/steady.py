@@ -54,14 +54,12 @@ def main(argv=None) -> int:
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
     parser.add_argument("--out", type=Path, default=None)
-    parser.add_argument("--load", type=Path, default=None,
-                        help="summarize the raw runs an earlier --out saved, without running")
     args = parser.parse_args(argv)
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    raw = json.loads(args.load.read_text()) if args.load else {}
-    for workload in args.workloads if not args.load else list(raw):
-        runs = raw.get(workload, [])
-        for i in range(0 if args.load else args.runs):
+    raw = {}
+    for workload in args.workloads:
+        runs = []
+        for i in range(args.runs):
             seed = args.first_seed + i
             result = run_once(spec["command"], workload, seed, args.seconds)
             result["seed"] = seed
@@ -73,7 +71,7 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
         raw[workload] = runs
-        seeds = [r.get("seed") for r in runs]
+        seeds = [r["seed"] for r in runs]
         print(f"\n{workload}: {len(runs)} runs, seeds {seeds}")
         shares = {r["failed"] / r["attempted"] for r in runs}
         print(f"  failed share per run: {sorted(shares)}; all correct: {all(r['correct'] for r in runs)}")
@@ -81,9 +79,9 @@ def main(argv=None) -> int:
         print(f"  {'metric':<20}{'q1':>12}{'median':>12}{'q3':>12}{'spread':>9}{'bound':>7}  steady")
         for name, bound in bounds.items():
             q1, median, q3, spread = summarize([r["metrics"][name]["value"] for r in runs])
-            verdict = "yes" if name == "setup_s" or spread < bound / 3 else "NO"
+            verdict = "yes" if spread < bound / 3 else "NO"
             print(f"  {name:<20}{q1:>12.4g}{median:>12.4g}{q3:>12.4g}{spread:>9.3f}{bound:>7.2f}  {verdict}")
-    if args.out and not args.load:
+    if args.out:
         args.out.write_text(json.dumps(raw, indent=1))
     return 0
 

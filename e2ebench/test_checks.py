@@ -44,16 +44,6 @@ def test_incremental_counts_match_scratch_evaluation_under_churn():
     assert mirror.feed_degree_count() == mirror.count("Feed")
 
 
-def test_count_check_catches_an_off_by_one_count():
-    mirror = small_mirror()
-    checks = Checks()
-    checks.expect(mirror.count("Feed") == len(mirror.result("Feed")), "control")
-    assert checks.failed == 0
-    corrupted = mirror.count("Feed") + 1
-    checks.expect(corrupted == mirror.count("Feed"), "corrupted count")
-    assert checks.failed == 1
-
-
 def test_page_check_catches_foreign_and_repeated_rows():
     mirror = small_mirror()
     rows = sorted(mirror.result("Feed"))
